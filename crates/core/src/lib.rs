@@ -38,7 +38,6 @@ pub mod collective;
 mod decision;
 pub mod discovery;
 pub mod frontend;
-pub mod inductive;
 pub mod kmeans;
 mod model;
 pub mod observability;
@@ -55,7 +54,6 @@ pub use frontend::{
     flush_seed, flush_trace_id, FlushOutcome, Frontend, FrontendConfig, MicroBatch, QueuedRequest,
     Response,
 };
-pub use inductive::FrozenModel;
 pub use kmeans::{kmeans, refine_unknown_classes, KMeansResult, RefinedUnknownClass};
 pub use model::{HdpOsr, HdpOsrConfig};
 pub use observability::{

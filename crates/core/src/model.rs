@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
@@ -11,6 +11,8 @@ use osr_hdp::{HdpConfig, PosteriorSnapshot};
 use osr_linalg::Matrix;
 use osr_stats::NiwParams;
 
+use crate::admission;
+use crate::collective::{AttemptError, CollectiveModel};
 use crate::decision::{ClassifyOutcome, Prediction};
 use crate::serving::{self, ServingMode, WarmState};
 use crate::{OsrError, Result};
@@ -186,8 +188,8 @@ impl HdpOsr {
         &self.params
     }
 
-    /// The stored per-class training points (needed by the inductive
-    /// [`crate::inductive::FrozenModel`] to rebuild dish posteriors).
+    /// The stored per-class training points (the groups a cold-start
+    /// attempt re-clusters with each batch, and a durable snapshot keeps).
     pub fn classes(&self) -> &[Vec<Vec<f64>>] {
         &self.classes
     }
@@ -233,11 +235,7 @@ impl HdpOsr {
     ///
     /// # Errors
     /// See [`classify_detailed`](Self::classify_detailed).
-    pub fn classify<R: Rng + ?Sized>(
-        &self,
-        test: &[Vec<f64>],
-        rng: &mut R,
-    ) -> Result<Vec<Prediction>> {
+    pub fn classify(&self, test: &[Vec<f64>], rng: &mut StdRng) -> Result<Vec<Prediction>> {
         Ok(self.classify_detailed(test, rng)?.predictions)
     }
 
@@ -249,15 +247,37 @@ impl HdpOsr {
     /// under [`ServingMode::ColdStart`] the known classes and the batch are
     /// re-clustered from scratch, exactly as in the paper's protocol.
     ///
+    /// This is one watchdogged attempt through the same driver
+    /// [`crate::BatchServer`] uses
+    /// ([`CollectiveModel::classify_collective`]), with no budget, deadline,
+    /// retry or degradation: the caller owns the RNG, so a divergent sweep
+    /// surfaces as [`OsrError::Diverged`] with `attempts: 1`.
+    ///
     /// # Errors
-    /// Fails on an empty test batch, dimension mismatches, or sampler
-    /// construction failure.
-    pub fn classify_detailed<R: Rng + ?Sized>(
+    /// Fails on an empty test batch, dimension mismatches, sampler
+    /// construction failure, or divergence.
+    pub fn classify_detailed(
         &self,
         test: &[Vec<f64>],
-        rng: &mut R,
+        rng: &mut StdRng,
     ) -> Result<ClassifyOutcome> {
-        serving::serve_batch(self, test, rng)
+        admission::validate_batch(self.dim, test)?;
+        osr_stats::divergence::clear();
+        let mut admit = || {
+            serving::sweep_fault_delay();
+            Ok(())
+        };
+        match self.classify_collective(test, rng, &mut admit, &mut Vec::new()) {
+            Ok(mut outcome) => {
+                outcome.trace_id = "adhoc".to_string();
+                Ok(outcome)
+            }
+            Err(AttemptError::Fatal(err)) => Err(err),
+            Err(AttemptError::Diverged(reason)) => Err(OsrError::Diverged { attempts: 1, reason }),
+            Err(AttemptError::DeadlineExceeded | AttemptError::BudgetExhausted) => Err(
+                OsrError::Internal("unbounded serve control reported a resource breach".into()),
+            ),
+        }
     }
 }
 

@@ -62,8 +62,13 @@ impl ModelRegistry {
     }
 
     /// The durable path a tenant's snapshot is cold-loaded from, if a
-    /// snapshot directory is attached.
+    /// snapshot directory is attached and `tenant` is a plain file-name
+    /// stem. A name that could leave the directory — empty, `.`, `..`, or
+    /// containing `/`, `\` or NUL — has no path.
     pub fn snapshot_path(&self, tenant: &str) -> Option<PathBuf> {
+        if matches!(tenant, "" | "." | "..") || tenant.contains(['/', '\\', '\0']) {
+            return None;
+        }
         self.snapshot_dir.as_ref().map(|dir| dir.join(format!("{tenant}.snapshot")))
     }
 
@@ -99,8 +104,10 @@ impl ModelRegistry {
     /// it is a typed [`OsrError::UnknownTenant`].
     ///
     /// # Errors
-    /// [`OsrError::UnknownTenant`] on a miss with no snapshot directory or
-    /// no snapshot file; any snapshot decode failure propagates typed.
+    /// [`OsrError::UnknownTenant`] on a miss with no snapshot directory, no
+    /// snapshot file, or a tenant name with no snapshot path (see
+    /// [`Self::snapshot_path`]); any snapshot decode failure propagates
+    /// typed.
     pub fn resolve(&self, tenant: &str) -> Result<Arc<dyn CollectiveModel>> {
         {
             let mut inner = self.inner.lock();
@@ -222,5 +229,30 @@ mod tests {
         registry.resolve("warm").unwrap();
         assert_eq!(osr_stats::counters::frontend_cold_loads(), cold_after);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tenant_names_cannot_escape_the_snapshot_directory() {
+        let root = std::env::temp_dir().join("osr_registry_traversal_test");
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("tenants");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A valid snapshot just outside the registry's directory.
+        let outside = root.join("escape.snapshot");
+        SnapshotStore::new(&outside).save(&tiny_model(4)).unwrap();
+        let registry = ModelRegistry::new(2).with_snapshot_dir(&dir);
+
+        let absolute = root.join("escape");
+        let absolute = absolute.to_str().unwrap();
+        for tenant in ["../escape", absolute, "", ".", "..", "a\\b", "a\0b", "x/../../escape"] {
+            assert_eq!(
+                registry.resolve(tenant).err(),
+                Some(OsrError::UnknownTenant(tenant.to_string())),
+                "tenant {tenant:?}"
+            );
+            assert!(registry.snapshot_path(tenant).is_none(), "tenant {tenant:?}");
+        }
+        assert!(registry.is_empty(), "no escaping tenant may be admitted");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -11,10 +11,12 @@
 //!   [`ServingMode::WarmStart`]) runs the training-only burn-in, snapshots
 //!   the converged posterior, and precomputes the dish→class association
 //!   table.
-//! * [`serve_batch`] then answers each batch from a private
-//!   [`osr_hdp::BatchSession`] clone of that snapshot: only the batch group
-//!   is reseated, for `decision_sweeps` warm sweeps instead of a cold
-//!   burn-in.
+//! * [`CollectiveModel::classify_collective`] then answers each batch from
+//!   a private [`osr_hdp::BatchSession`] clone of that snapshot: only the
+//!   batch group is reseated, for `decision_sweeps` warm sweeps instead of
+//!   a cold burn-in. It is the one attempt driver: [`HdpOsr::classify`]
+//!   runs it once with no retry policy, and [`BatchServer`] wraps it in
+//!   retry, budgets and degradation.
 //! * [`BatchServer`] fans independent batches out over scoped worker
 //!   threads with per-batch RNGs derived from `(seed, batch_index)`, so
 //!   results do not depend on the number of workers or their scheduling.
@@ -54,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
@@ -263,11 +265,6 @@ impl ServeCtl {
         }
     }
 
-    /// No deadline, no budget — the single-shot `classify` path.
-    fn unbounded() -> Self {
-        Self { deadline: None, sweeps_left: None }
-    }
-
     /// Charge one Gibbs sweep against the batch's budget and deadline.
     fn admit_sweep(&mut self) -> std::result::Result<(), AttemptError> {
         if let Some(deadline) = self.deadline {
@@ -287,51 +284,13 @@ impl ServeCtl {
 
 /// Honor an injected artificial delay at the sweep site (no-op without the
 /// `fault-inject` feature).
-fn sweep_fault_delay() {
+pub(crate) fn sweep_fault_delay() {
     #[cfg(feature = "fault-inject")]
     if let Some(osr_stats::faults::Fault::DelayMs(ms)) =
         osr_stats::faults::hit(osr_stats::faults::sites::SWEEP)
     {
         std::thread::sleep(Duration::from_millis(ms));
     }
-}
-
-/// Serve one test batch through a single watchdogged attempt, dispatching on
-/// how the model was fitted: warm (snapshot present) or cold (full
-/// transductive re-run). This is the `classify`/`classify_detailed` path —
-/// the caller owns the RNG, so there is no retry/degrade policy here; a
-/// divergent sweep surfaces as [`OsrError::Diverged`] with `attempts: 1`.
-/// [`BatchServer`] layers admission, retry, deadlines, and degradation on
-/// top of the same attempt functions.
-pub(crate) fn serve_batch<R: Rng + ?Sized>(
-    model: &HdpOsr,
-    test: &[Vec<f64>],
-    rng: &mut R,
-) -> Result<ClassifyOutcome> {
-    admission::validate_batch(model.dim(), test)?;
-    osr_stats::divergence::clear();
-    let mut ctl = ServeCtl::unbounded();
-    let attempt = (|| {
-        let mut attempt = HdpAttempt::start(model, test)?;
-        for _ in 0..attempt.planned_sweeps() {
-            sweep_fault_delay();
-            ctl.admit_sweep()?;
-            attempt.sweep_with(rng)?;
-        }
-        Ok(attempt.finish_outcome())
-    })();
-    attempt
-        .map(|mut outcome: ClassifyOutcome| {
-            outcome.trace_id = "adhoc".to_string();
-            outcome
-        })
-        .map_err(|e| match e {
-            AttemptError::Fatal(err) => err,
-            AttemptError::Diverged(reason) => OsrError::Diverged { attempts: 1, reason },
-            AttemptError::DeadlineExceeded | AttemptError::BudgetExhausted => {
-                OsrError::Internal("unbounded serve control reported a resource breach".into())
-            }
-        })
 }
 
 /// Warm attempt: clone the checkpoint, append the batch, reseat only the
@@ -358,10 +317,7 @@ impl<'m> WarmAttempt<'m> {
         Ok(Self { model, warm, session, votes: vec![BTreeMap::new(); test.len()] })
     }
 
-    fn sweep_with<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<SweepTrace, AttemptError> {
+    fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
         let trace = self
             .session
             .sweep_checked_traced(rng)
@@ -373,7 +329,7 @@ impl<'m> WarmAttempt<'m> {
         Ok(trace)
     }
 
-    fn finish_outcome(&self) -> ClassifyOutcome {
+    fn outcome(&self) -> ClassifyOutcome {
         let config = self.model.config();
         let predictions = majority(&self.votes);
         let summary = self.session.group_summary(self.session.batch_group());
@@ -431,10 +387,7 @@ impl<'m> ColdAttempt<'m> {
         })
     }
 
-    fn sweep_with<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<SweepTrace, AttemptError> {
+    fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
         let trace = self
             .hdp
             .sweep_checked_traced(rng)
@@ -455,7 +408,7 @@ impl<'m> ColdAttempt<'m> {
         Ok(trace)
     }
 
-    fn finish_outcome(&self) -> ClassifyOutcome {
+    fn outcome(&self) -> ClassifyOutcome {
         let config = self.model.config();
         let predictions = majority(&self.votes);
         let (assoc, known_reports) =
@@ -481,17 +434,14 @@ impl<'m> ColdAttempt<'m> {
 }
 
 /// One CD-OSR serve attempt, dispatching on how the model was fitted: warm
-/// (snapshot present) or cold (full transductive re-run). The inherent
-/// methods are generic over the RNG for the caller-owned `classify` path;
-/// the [`CollectiveSession`] impl pins `StdRng` for the object-safe server
-/// path — both drive the identical per-sweep sequence.
+/// (snapshot present) or cold (full transductive re-run).
 pub(crate) enum HdpAttempt<'m> {
     Warm(WarmAttempt<'m>),
     Cold(ColdAttempt<'m>),
 }
 
 impl<'m> HdpAttempt<'m> {
-    pub(crate) fn start(
+    fn start(
         model: &'m HdpOsr,
         test: &[Vec<f64>],
     ) -> std::result::Result<Self, AttemptError> {
@@ -500,8 +450,10 @@ impl<'m> HdpAttempt<'m> {
             None => ColdAttempt::start(model, test).map(Self::Cold),
         }
     }
+}
 
-    fn planned_sweeps(&self) -> usize {
+impl CollectiveSession for HdpAttempt<'_> {
+    fn sweeps_planned(&self) -> usize {
         match self {
             Self::Warm(w) => w.model.config().decision_sweeps,
             Self::Cold(c) => {
@@ -511,35 +463,18 @@ impl<'m> HdpAttempt<'m> {
         }
     }
 
-    fn sweep_with<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<SweepTrace, AttemptError> {
-        match self {
-            Self::Warm(w) => w.sweep_with(rng),
-            Self::Cold(c) => c.sweep_with(rng),
-        }
-    }
-
-    fn finish_outcome(&self) -> ClassifyOutcome {
-        match self {
-            Self::Warm(w) => w.finish_outcome(),
-            Self::Cold(c) => c.finish_outcome(),
-        }
-    }
-}
-
-impl CollectiveSession for HdpAttempt<'_> {
-    fn sweeps_planned(&self) -> usize {
-        self.planned_sweeps()
-    }
-
     fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
-        self.sweep_with(rng)
+        match self {
+            Self::Warm(w) => w.sweep(rng),
+            Self::Cold(c) => c.sweep(rng),
+        }
     }
 
     fn finish(&mut self) -> std::result::Result<ClassifyOutcome, AttemptError> {
-        Ok(self.finish_outcome())
+        Ok(match self {
+            Self::Warm(w) => w.outcome(),
+            Self::Cold(c) => c.outcome(),
+        })
     }
 }
 

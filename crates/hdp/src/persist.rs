@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use osr_stats::snapshot::{Dec, Enc, SnapResult, SnapshotError, SnapshotFile, SnapshotWriter};
-use osr_stats::{DishBank, NiwParams, NiwPosterior};
+use osr_stats::{DishBank, NiwParams};
 
 use crate::state::{Dish, HdpConfig, HdpState, Table};
 
@@ -30,8 +30,6 @@ pub const SEC_HDP_CONFIG: u32 = 2;
 pub const SEC_SEATING: u32 = 3;
 /// Section id of the dish bank (per-dish NIW sufficient statistics).
 pub const SEC_BANK: u32 = 4;
-/// Section id of the cached prior posterior (the "empty dish" predictive).
-pub const SEC_PRIOR_POST: u32 = 5;
 
 /// `u64` sentinel standing in for `usize::MAX` (an unseated item) on the
 /// wire — the format is 64-bit regardless of host.
@@ -41,7 +39,6 @@ const UNSEATED: u64 = u64::MAX;
 pub(crate) fn write_sections(
     state: &HdpState,
     config: &HdpConfig,
-    prior_post: &NiwPosterior,
     w: &mut SnapshotWriter,
 ) {
     let mut enc = Enc::new();
@@ -64,10 +61,6 @@ pub(crate) fn write_sections(
     let mut enc = Enc::new();
     state.bank.encode_into(&mut enc);
     w.section(SEC_BANK, enc.into_bytes());
-
-    let mut enc = Enc::new();
-    prior_post.encode_into(&mut enc);
-    w.section(SEC_PRIOR_POST, enc.into_bytes());
 }
 
 /// Decode every HDP section of a verified container back into snapshot
@@ -75,7 +68,7 @@ pub(crate) fn write_sections(
 /// never panic on state a corrupted-but-CRC-valid writer produced.
 pub(crate) fn read_sections(
     file: &SnapshotFile<'_>,
-) -> SnapResult<(HdpState, HdpConfig, NiwPosterior)> {
+) -> SnapResult<(HdpState, HdpConfig)> {
     let mut dec = Dec::new(file.section(SEC_PARAMS)?);
     let params = NiwParams::decode_from(&mut dec)?;
     dec.finish("params section")?;
@@ -102,20 +95,10 @@ pub(crate) fn read_sections(
     let bank = DishBank::decode_from(&mut dec, &params)?;
     dec.finish("bank section")?;
 
-    let mut dec = Dec::new(file.section(SEC_PRIOR_POST)?);
-    let prior_post = NiwPosterior::decode_from(&mut dec)?;
-    dec.finish("prior posterior section")?;
-    if prior_post.dim() != params.dim() {
-        return Err(SnapshotError::DimensionMismatch {
-            expected: params.dim(),
-            got: prior_post.dim(),
-        });
-    }
-
     let mut dec = Dec::new(file.section(SEC_SEATING)?);
     let state = decode_seating(&mut dec, params, bank)?;
     dec.finish("seating section")?;
-    Ok((state, config, prior_post))
+    Ok((state, config))
 }
 
 fn encode_seating(state: &HdpState, enc: &mut Enc) {

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use osr_stats::{NiwParams, NiwPosterior};
+use osr_stats::NiwParams;
 
 use crate::sampler::validate_group;
 use crate::state::{DishId, DishSummary, GroupSummary, HdpConfig, HdpState};
@@ -45,16 +45,11 @@ use crate::{Hdp, Result};
 pub struct PosteriorSnapshot {
     state: HdpState,
     config: HdpConfig,
-    prior_post: NiwPosterior,
 }
 
 impl PosteriorSnapshot {
-    pub(crate) fn from_parts(
-        state: HdpState,
-        config: HdpConfig,
-        prior_post: NiwPosterior,
-    ) -> Self {
-        Self { state, config, prior_post }
+    pub(crate) fn from_parts(state: HdpState, config: HdpConfig) -> Self {
+        Self { state, config }
     }
 
     /// Number of (training) groups in the checkpoint.
@@ -130,90 +125,64 @@ impl PosteriorSnapshot {
         self.state.dishes.len()
     }
 
-    /// MAP dish assignment of `x` under the frozen global mixture — the
-    /// degraded-mode replacement for reseating. Scores each live dish `k` by
-    /// `ln m_·k + f_k(x)` and the "brand-new dish" option by `ln γ + f_H(x)`
-    /// (the menu weights of Eq. 8 with the batch contributing nothing);
-    /// returns `None` when the new-dish option wins, i.e. no frozen subclass
-    /// explains `x` better than the prior.
-    ///
-    /// # Panics
-    /// Panics when `x` does not match the base measure's dimension.
-    pub fn map_dish(&self, x: &[f64]) -> Option<DishId> {
-        let (live, slots) = self.live_menu();
-        let mut scratch = vec![0.0; slots.len() * self.state.bank.dim()];
-        let mut scores = Vec::with_capacity(slots.len());
-        self.map_dish_banked(x, &live, &slots, &mut scratch, &mut scores)
-    }
-
-    /// [`Self::map_dish`] over a whole batch: the live menu, the solve
-    /// scratch, and the score buffer are built once and reused across
-    /// points, so degraded frozen serving runs the one-vs-all kernel
+    /// MAP dish assignment of every point under the frozen global mixture —
+    /// the degraded-mode replacement for reseating. Scores each live dish
+    /// `k` by `ln m_·k + f_k(x)` and the "brand-new dish" option by
+    /// `ln γ + f_H(x)` (the menu weights of Eq. 8 with the batch
+    /// contributing nothing); a point maps to `None` when the new-dish
+    /// option wins, i.e. no frozen subclass explains it better than the
+    /// prior. The live menu, the solve scratch, and the score buffer are
+    /// built once and reused across points, so the one-vs-all kernel runs
     /// back-to-back with no per-point allocation beyond the result.
     ///
     /// # Panics
     /// Panics when any point does not match the base measure's dimension.
     pub fn map_dishes(&self, points: &[Vec<f64>]) -> Vec<Option<DishId>> {
-        let (live, slots) = self.live_menu();
-        let mut scratch = vec![0.0; slots.len() * self.state.bank.dim()];
+        let bank = &self.state.bank;
+        let (live, slots): (Vec<(DishId, usize)>, Vec<osr_stats::Slot>) =
+            self.state.live_dishes().map(|(id, d)| ((id, d.n_tables), d.slot)).unzip();
+        // One solve lane for the prior, then one per live dish.
+        let mut scratch = vec![0.0; (slots.len() + 1) * bank.dim()];
+        let (prior_lane, lanes) = scratch.split_at_mut(bank.dim());
         let mut scores = Vec::with_capacity(slots.len());
         points
             .iter()
-            .map(|x| self.map_dish_banked(x, &live, &slots, &mut scratch, &mut scores))
+            .map(|x| {
+                let new_lw = self.state.gamma.ln() + bank.score_prior(x, prior_lane);
+                scores.clear();
+                // One fused pass over the bank replaces the per-dish
+                // predictive loop; ties resolve to the lowest dish id
+                // (strict `>`).
+                bank.score_all(&slots, x, lanes, &mut scores);
+                let mut best: Option<(DishId, f64)> = None;
+                for (&(id, n_tables), &lp) in live.iter().zip(&scores) {
+                    let lw = (n_tables as f64).ln() + lp;
+                    if best.is_none_or(|(_, b)| lw > b) {
+                        best = Some((id, lw));
+                    }
+                }
+                match best {
+                    Some((id, lw)) if lw >= new_lw => Some(id),
+                    _ => None,
+                }
+            })
             .collect()
-    }
-
-    /// Live menu as parallel `(dish id, m_·k)` rows and bank-slot list,
-    /// ascending id — the shape the one-vs-all kernel consumes.
-    #[allow(clippy::type_complexity)]
-    fn live_menu(&self) -> (Vec<(DishId, usize)>, Vec<osr_stats::Slot>) {
-        let live: Vec<(DishId, usize)> =
-            self.state.live_dishes().map(|(id, d)| (id, d.n_tables)).collect();
-        let slots: Vec<osr_stats::Slot> =
-            self.state.live_dishes().map(|(_, d)| d.slot).collect();
-        (live, slots)
-    }
-
-    fn map_dish_banked(
-        &self,
-        x: &[f64],
-        live: &[(DishId, usize)],
-        slots: &[osr_stats::Slot],
-        scratch: &mut [f64],
-        scores: &mut Vec<f64>,
-    ) -> Option<DishId> {
-        let new_lw = self.state.gamma.ln() + self.prior_post.predictive_logpdf(x);
-        scores.clear();
-        // One fused pass over the bank replaces the per-dish predictive
-        // loop; ties still resolve to the lowest dish id (strict `>`).
-        self.state.bank.score_all(slots, x, scratch, scores);
-        let mut best: Option<(DishId, f64)> = None;
-        for (&(id, n_tables), &lp) in live.iter().zip(scores.iter()) {
-            let lw = (n_tables as f64).ln() + lp;
-            if best.is_none_or(|(_, b)| lw > b) {
-                best = Some((id, lw));
-            }
-        }
-        match best {
-            Some((id, lw)) if lw >= new_lw => Some(id),
-            _ => None,
-        }
     }
 
     /// Rebuild a full sampler from the checkpoint (the inverse of
     /// [`Hdp::snapshot`]): the restored sampler continues sweeping *all*
     /// groups from the frozen arrangement.
     pub fn restore(&self) -> Hdp {
-        Hdp::from_parts(self.state.clone(), self.config, self.prior_post.clone())
+        Hdp::from_parts(self.state.clone(), self.config)
     }
 
     /// Append this checkpoint's sections (base measure, config, seating,
-    /// dish bank, prior posterior) to a durable snapshot container. The
-    /// byte output is a pure function of the checkpoint's canonical state:
-    /// writing the same checkpoint twice — or writing a checkpoint decoded
-    /// by [`Self::read_sections`] — produces identical bytes.
+    /// dish bank) to a durable snapshot container. The byte output is a
+    /// pure function of the checkpoint's canonical state: writing the same
+    /// checkpoint twice — or writing a checkpoint decoded by
+    /// [`Self::read_sections`] — produces identical bytes.
     pub fn write_sections(&self, w: &mut osr_stats::snapshot::SnapshotWriter) {
-        crate::persist::write_sections(&self.state, &self.config, &self.prior_post, w);
+        crate::persist::write_sections(&self.state, &self.config, w);
     }
 
     /// Decode a checkpoint from a verified snapshot container, revalidating
@@ -227,8 +196,8 @@ impl PosteriorSnapshot {
     pub fn read_sections(
         file: &osr_stats::snapshot::SnapshotFile<'_>,
     ) -> osr_stats::snapshot::SnapResult<Self> {
-        let (state, config, prior_post) = crate::persist::read_sections(file)?;
-        Ok(Self { state, config, prior_post })
+        let (state, config) = crate::persist::read_sections(file)?;
+        Ok(Self { state, config })
     }
 
     /// Open a warm serving session: clone the checkpoint, append `batch` as

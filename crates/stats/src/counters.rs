@@ -1,7 +1,7 @@
 //! Process-wide instrumentation counters.
 //!
-//! The posterior predictive ([`crate::NiwPosterior::predictive_logpdf`]) is
-//! the single hottest call of the whole reproduction — every CRF seating
+//! The posterior predictive (the [`crate::DishBank`] scoring kernels) is the
+//! single hottest call of the whole reproduction — every CRF seating
 //! decision evaluates it once per live dish. The harness reports this count
 //! next to wall-clock numbers so serving-path optimizations (warm-start
 //! batch sessions vs cold transductive runs) can be compared in units that

@@ -36,7 +36,7 @@ use std::fmt;
 
 /// Current snapshot container format version. Bump on any layout change;
 /// readers reject every other version with [`SnapshotError::VersionSkew`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// The 8-byte file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OSRSNAP\0";

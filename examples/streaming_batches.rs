@@ -12,9 +12,10 @@
 //!    batch still takes the full collective decision — its points can join
 //!    training subclasses or nucleate brand-new dishes — and `BatchServer`
 //!    fans independent batches out over worker threads deterministically.
-//! 2. **Frozen inference** (`hdp_osr::core::inductive`): labels points one
-//!    at a time against a frozen posterior in O(K·d²) per point — fastest,
-//!    but gives up the batch-level collective effect entirely.
+//! 2. **Frozen inference**: a `BatchServer` with a zero sweep budget
+//!    degrades every batch to MAP dish assignment against the fit-time
+//!    checkpoint, one point at a time in O(K·d²) — fastest, but gives up
+//!    the batch-level collective effect entirely.
 //!
 //! A cold run of chunk 1 is timed alongside for contrast.
 //!
@@ -23,7 +24,7 @@
 //! ```
 
 use hdp_osr::core::{
-    BatchServer, FrozenModel, HdpOsr, HdpOsrConfig, JsonlSink, ServingMode, SnapshotStore,
+    BatchServer, HdpOsr, HdpOsrConfig, JsonlSink, ServePolicy, ServingMode, SnapshotStore,
     TraceRecord, TraceSink,
 };
 use hdp_osr::dataset::protocol::{GroundTruth, OpenSetSplit, SplitConfig, TestSet};
@@ -191,23 +192,20 @@ fn main() {
     );
     println!("recovered trace byte-matches the pre-crash stream (results/trace_recovered.jsonl)");
 
-    // Fastest tier: freeze the posterior of one collective pass and label
-    // later points inductively, without any sampling at all.
-    let first_outcome = outcomes[0].as_ref().expect("chunk 1 outcome");
-    let frozen =
-        FrozenModel::freeze(&model, first_outcome, &chunks[0].points).expect("freeze");
-    println!(
-        "frozen model: {} subclasses, γ = {:.1}",
-        frozen.n_subclasses(),
-        first_outcome.gamma
-    );
+    // Fastest tier: answer later chunks without any sampling at all. A zero
+    // sweep budget degrades every batch to frozen MAP inference against the
+    // fit-time checkpoint. No trace sink is attached, so the streams written
+    // above are untouched.
+    let frozen = BatchServer::new(&model)
+        .with_policy(ServePolicy { sweep_budget: Some(0), ..Default::default() });
     for (no, chunk) in chunks.iter().enumerate().skip(1) {
         let t0 = Instant::now();
-        let preds = frozen.predict_batch(&chunk.points);
+        let (outcome, _) = frozen.serve_seeded(&chunk.points, 11);
         let frozen_time = t0.elapsed();
-        let c = OpenSetConfusion::from_slices(&preds, &chunk.truth);
+        let outcome = outcome.expect("frozen pass");
+        let c = OpenSetConfusion::from_slices(&outcome.predictions, &chunk.truth);
         println!(
-            "chunk {} (frozen, inductive):       {:4} points in {:>9.2?}  F = {:.4}",
+            "chunk {} (frozen, degraded):        {:4} points in {:>9.2?}  F = {:.4}",
             no + 1,
             chunk.points.len(),
             frozen_time,

@@ -87,13 +87,23 @@ done
 
 # Same staleness gate for the snapshot persistence report (save/load
 # latency and bytes-on-disk vs. posterior size).
-for field in schema n_dishes bytes_on_disk save_median_us load_median_us; do
+for field in schema snapshot_format_version n_dishes bytes_on_disk save_median_us load_median_us; do
     if ! grep -q "\"$field\"" BENCH_snapshot.json; then
         echo "verify: FAIL — BENCH_snapshot.json lacks '$field'; the report is stale," >&2
         echo "        regenerate with: cargo bench -p osr-bench --bench snapshot" >&2
         exit 1
     fi
 done
+# A report of an older container format has every field but measures a
+# layout the code no longer writes: its version must be the code's.
+want=$(sed -n 's/^pub const SNAPSHOT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/stats/src/snapshot.rs)
+got=$(sed -n 's/^ *"snapshot_format_version": *\([0-9]*\),*$/\1/p' BENCH_snapshot.json)
+if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "verify: FAIL — BENCH_snapshot.json reports snapshot_format_version '$got' but" >&2
+    echo "        crates/stats/src/snapshot.rs writes '$want'; the report is stale," >&2
+    echo "        regenerate with: cargo bench -p osr-bench --bench snapshot" >&2
+    exit 1
+fi
 
 # Same staleness gate for the front-end load report (sustained open-loop
 # throughput and end-to-end latency percentiles through the coalescing

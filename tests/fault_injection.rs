@@ -202,6 +202,37 @@ fn retryable_divergence_recovers_within_the_attempt_budget() {
 }
 
 #[test]
+fn caller_owned_classify_surfaces_divergence_without_retry_or_degradation() {
+    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (model, batches) = warm_model_and_batches();
+
+    let retries_before = counters::serve_retries();
+    let degraded_before = counters::degraded_batches();
+    {
+        // No batch/attempt filter: `classify_detailed` publishes no fault
+        // context, so only a wildcard injection reaches it.
+        let _plan =
+            install(FaultPlan::new().inject(sites::ENGINE_SWEEP, None, None, Fault::Diverge));
+        let err = model
+            .classify_detailed(&batches[0], &mut StdRng::seed_from_u64(5))
+            .expect_err("a diverging sweep must surface to the caller");
+        assert!(
+            matches!(err, OsrError::Diverged { attempts: 1, .. }),
+            "expected Diverged {{ attempts: 1 }}, got {err:?}"
+        );
+    }
+    assert_eq!(counters::serve_retries(), retries_before, "classify never retries");
+    assert_eq!(counters::degraded_batches(), degraded_before, "classify never degrades");
+
+    let clean = model
+        .classify_detailed(&batches[0], &mut StdRng::seed_from_u64(5))
+        .expect("the plan is uninstalled and the divergence flag scrubbed");
+    assert_eq!(clean.trace_id, "adhoc");
+    assert_eq!(clean.attempts, 1);
+    assert_eq!(clean.served_via, ServedVia::Warm);
+}
+
+#[test]
 fn injected_nan_is_rejected_by_admission_control() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (model, batches) = warm_model_and_batches();

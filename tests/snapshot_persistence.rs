@@ -24,10 +24,12 @@ use hdp_osr::core::{
     derive_batch_seed, BatchServer, HdpOsr, HdpOsrConfig, OsrError, RingSink, ServingMode,
     SnapshotStore,
 };
-use hdp_osr::core::snapshot::{decode_model, encode_model};
+use hdp_osr::core::snapshot::{decode_model, encode_model, SEC_CORE_CONFIG};
 use hdp_osr::dataset::protocol::TrainSet;
 use hdp_osr::stats::sampling;
-use hdp_osr::stats::snapshot::{SnapshotError, SnapshotWriter, SNAPSHOT_FORMAT_VERSION};
+use hdp_osr::stats::snapshot::{
+    SnapshotError, SnapshotFile, SnapshotWriter, SNAPSHOT_FORMAT_VERSION,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -291,6 +293,33 @@ fn partitioned_traffic_across_replicas_matches_one_replica_serving_all() {
 }
 
 #[test]
+fn a_full_v1_container_is_version_skew() {
+    let (model, _) = model_and_batches();
+    let current = encode_model(&model).expect("warm model encodes");
+    let file = SnapshotFile::parse(&current).expect("current container parses");
+    // Format v1 carried today's sections plus id 5, a cached prior
+    // posterior. Its payload is never read: the version check comes first.
+    let mut v1 = SnapshotWriter::with_version(1, "cdosr", 2);
+    for id in [SEC_CORE_CONFIG, 1, 2, 3, 4] {
+        v1.section(id, file.section(id).expect("section present").to_vec());
+    }
+    v1.section(5, file.section(1).expect("params section").to_vec());
+    let v1 = v1.finish();
+    assert!(matches!(
+        decode_model(&v1),
+        Err(SnapshotError::VersionSkew { found: 1, supported: 2 })
+    ));
+
+    let store = temp_store("v1");
+    store.save_bytes(&v1).expect("raw bytes persist");
+    assert_eq!(
+        store.load().err(),
+        Some(OsrError::Snapshot(SnapshotError::VersionSkew { found: 1, supported: 2 }))
+    );
+    let _ = fs::remove_file(store.path());
+}
+
+#[test]
 fn snapshot_info_inspection_is_cheap_and_accurate() {
     let (model, _) = model_and_batches();
     let store = temp_store("inspect");
@@ -298,7 +327,7 @@ fn snapshot_info_inspection_is_cheap_and_accurate() {
     let inspected = store.inspect().expect("inspect");
     assert_eq!(saved, inspected);
     assert_eq!(inspected.dim, 2);
-    assert!(inspected.n_sections >= 6, "config + five posterior sections");
+    assert_eq!(inspected.n_sections, 5, "core config + four posterior sections");
     assert_eq!(inspected.bytes, store.load_bytes().unwrap().len());
     let _ = fs::remove_file(store.path());
 }
