@@ -302,6 +302,9 @@ pub(crate) struct WarmAttempt<'m> {
     warm: &'m WarmState,
     session: osr_hdp::BatchSession,
     votes: Vec<BTreeMap<Prediction, usize>>,
+    /// Joint log-likelihood from the last sweep's trace: the state it
+    /// scored is the one the outcome reports, so it is not recomputed.
+    log_likelihood: f64,
 }
 
 impl<'m> WarmAttempt<'m> {
@@ -314,7 +317,13 @@ impl<'m> WarmAttempt<'m> {
             .snapshot
             .session(test.to_vec())
             .map_err(|e| AttemptError::Fatal(e.into()))?;
-        Ok(Self { model, warm, session, votes: vec![BTreeMap::new(); test.len()] })
+        Ok(Self {
+            model,
+            warm,
+            session,
+            votes: vec![BTreeMap::new(); test.len()],
+            log_likelihood: f64::NAN,
+        })
     }
 
     fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
@@ -326,6 +335,7 @@ impl<'m> WarmAttempt<'m> {
             let pred = self.warm.assoc.decide(self.session.dish_of(i));
             *vote.entry(pred).or_insert(0) += 1;
         }
+        self.log_likelihood = trace.log_likelihood;
         Ok(trace)
     }
 
@@ -347,7 +357,7 @@ impl<'m> WarmAttempt<'m> {
             test_dishes,
             gamma: self.session.gamma(),
             alpha: self.session.alpha(),
-            log_likelihood: self.session.joint_log_likelihood(),
+            log_likelihood: self.log_likelihood,
             served_via: ServedVia::Warm,
             attempts: 1,
             trace_id: String::new(),

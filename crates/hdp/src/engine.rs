@@ -29,7 +29,7 @@ use osr_stats::special::log_sum_exp;
 use osr_stats::sampling;
 
 use crate::concentration::{resample_alpha, resample_gamma};
-use crate::state::{HdpConfig, HdpState, Table};
+use crate::state::{HdpConfig, HdpState, LnCounts, SeatScratch, Table};
 
 /// Draw from `exp(lw)`, hardened against hostile inputs: when the log
 /// normalizer is not finite (every weight underflowed to `-inf`, or a
@@ -37,8 +37,14 @@ use crate::state::{HdpConfig, HdpState, Table};
 /// flag — the serving watchdog will abort the sweep — and fall back to the
 /// last candidate, which at every call site is the "open something new"
 /// option and therefore keeps the seating bookkeeping structurally valid.
-fn seat_choice<R: Rng + ?Sized>(rng: &mut R, lw: &[f64], what: &str) -> usize {
-    sampling::try_categorical_log(rng, lw).unwrap_or_else(|| {
+/// `weights` is the draw's normalization buffer.
+fn seat_choice<R: Rng + ?Sized>(
+    rng: &mut R,
+    lw: &[f64],
+    weights: &mut Vec<f64>,
+    what: &str,
+) -> usize {
+    sampling::try_categorical_log(rng, lw, weights).unwrap_or_else(|| {
         osr_stats::divergence::poison(&format!("non-finite seating weights ({what})"));
         lw.len() - 1
     })
@@ -53,13 +59,35 @@ impl HdpState {
         }
     }
 
+    /// Predictive of `x` under every live dish into `sc.scores` — one fused
+    /// pass over the dish bank in ascending id order, so the downstream
+    /// categorical draw consumes the RNG exactly as a per-dish loop would.
+    fn score_menu(&self, x: &[f64], sc: &mut SeatScratch) {
+        let lanes = self.menu.slots.len() * self.bank.dim();
+        if sc.solve.len() < lanes {
+            sc.solve.resize(lanes, 0.0);
+        }
+        sc.scores.clear();
+        self.bank.score_all(&self.menu.slots, x, &mut sc.solve[..lanes], &mut sc.scores);
+    }
+
+    /// Menu log-weights into `out`: `ln m_·k + scores[k]` per live dish, then
+    /// the new-dish tail `ln γ + prior`. These are Eq. 8's candidates, and
+    /// the mixture Eq. 7's new-table marginal sums over.
+    fn menu_weights(&self, scores: &[f64], prior: f64, ln_n: &mut LnCounts, out: &mut Vec<f64>) {
+        out.clear();
+        for (&id, &lp) in self.menu.ids.iter().zip(scores) {
+            out.push(ln_n.get(self.dish(id).n_tables) + lp);
+        }
+        out.push(self.gamma.ln() + prior);
+    }
+
     /// Resample `t_ji` (Eq. 7): seat item `i` of group `j` at an existing
     /// table with probability ∝ `n_jt · f_k(x)` or at a new table with
     /// probability ∝ `α₀ · p(x)`, where `p(x)` marginalizes the new table's
-    /// dish over the global menu. The base-measure term comes from the
-    /// bank's prior constants ([`osr_stats::DishBank::score_prior`]), and
-    /// all candidate buffers live in the state-owned scratch — the move
-    /// allocates nothing.
+    /// dish over the global menu. The base-measure term was scored when the
+    /// group was added ([`HdpState::prior_scores`]), and all candidate
+    /// buffers live in the state-owned scratch — the move allocates nothing.
     pub(crate) fn seat_item<R: Rng + ?Sized>(&mut self, j: usize, i: usize, rng: &mut R) {
         self.seat_moves += 1;
         self.unseat(j, i);
@@ -68,33 +96,12 @@ impl HdpState {
         let group = Arc::clone(&self.groups[j]);
         let x: &[f64] = &group[i];
         let mut sc = std::mem::take(&mut self.scratch);
-
-        // Predictive of x under every live dish — one fused pass over the
-        // dish bank (ascending id order, so the downstream categorical draw
-        // consumes the RNG exactly as the per-dish loop did) — and under the
-        // prior.
-        sc.live.clear();
-        sc.live.extend(self.live_dishes().map(|(id, d)| (id, d.slot)));
-        sc.slots.clear();
-        sc.slots.extend(sc.live.iter().map(|&(_, slot)| slot));
-        let d = self.bank.dim();
-        let lanes = (sc.slots.len() * d).max(d);
-        if sc.solve.len() < lanes {
-            sc.solve.resize(lanes, 0.0);
-        }
-        sc.scores.clear();
-        self.bank.score_all(&sc.slots, x, &mut sc.solve[..sc.slots.len() * d], &mut sc.scores);
-        let prior_pred = self.bank.score_prior(x, &mut sc.solve[..d]);
+        self.score_menu(x, &mut sc);
 
         // New-table marginal: Σ_k m_k/(M+γ) f_k + γ/(M+γ) f_0.
         let total_tables = self.total_tables() as f64;
-        let gamma = self.gamma;
-        sc.menu_lw.clear();
-        for (&(id, _), &lp) in sc.live.iter().zip(&sc.scores) {
-            sc.menu_lw.push((self.dish(id).n_tables as f64).ln() + lp);
-        }
-        sc.menu_lw.push(gamma.ln() + prior_pred);
-        let new_table_marginal = log_sum_exp(&sc.menu_lw) - (total_tables + gamma).ln();
+        self.menu_weights(&sc.scores, self.prior_scores[j][i], &mut sc.ln_n, &mut sc.menu_lw);
+        let new_table_marginal = log_sum_exp(&sc.menu_lw) - (total_tables + self.gamma).ln();
 
         // Candidate log-weights: one per existing table, then the new table.
         sc.lw.clear();
@@ -102,23 +109,18 @@ impl HdpState {
             // A table pointing at a retired dish is a seating-invariant
             // break: poison the sweep and give the table zero probability
             // mass instead of panicking mid-batch.
-            let pred = sc
-                .live
-                .iter()
-                .zip(&sc.scores)
-                .find(|&(&(id, _), _)| id == table.dish)
-                .map_or_else(
-                    || {
-                        osr_stats::divergence::poison("seat_item: table serves a retired dish");
-                        f64::NEG_INFINITY
-                    },
-                    |(_, &lp)| lp,
-                );
-            sc.lw.push((table.members.len() as f64).ln() + pred);
+            let pred = match self.menu.ids.binary_search(&table.dish) {
+                Ok(k) => sc.scores[k],
+                Err(_) => {
+                    osr_stats::divergence::poison("seat_item: table serves a retired dish");
+                    f64::NEG_INFINITY
+                }
+            };
+            sc.lw.push(sc.ln_n.get(table.members.len()) + pred);
         }
         sc.lw.push(self.alpha.ln() + new_table_marginal);
 
-        let choice = seat_choice(rng, &sc.lw, "table assignment");
+        let choice = seat_choice(rng, &sc.lw, &mut sc.weights, "table assignment");
         if choice < self.tables[j].len() {
             // Existing table.
             let dish = self.tables[j][choice].dish;
@@ -128,11 +130,10 @@ impl HdpState {
         } else {
             // New table: draw its dish from the menu posterior (same
             // mixture that formed the marginal above).
-            let menu_choice = seat_choice(rng, &sc.menu_lw, "menu draw");
-            let dish = if menu_choice < sc.live.len() {
-                sc.live[menu_choice].0
-            } else {
-                self.new_dish()
+            let menu_choice = seat_choice(rng, &sc.menu_lw, &mut sc.weights, "menu draw");
+            let dish = match self.menu.ids.get(menu_choice) {
+                Some(&id) => id,
+                None => self.new_dish(),
             };
             self.dish_add(dish, x);
             self.dish_mut(dish).n_tables += 1;
@@ -165,9 +166,8 @@ impl HdpState {
         if table.members.is_empty() {
             self.tables[j].swap_remove(ti);
             // The table that was last is now at ti: fix its members' links.
-            if ti < self.tables[j].len() {
-                let moved_members = self.tables[j][ti].members.clone();
-                for m in moved_members {
+            if let Some(moved) = self.tables[j].get(ti) {
+                for &m in &moved.members {
                     self.assignment[j][m] = ti;
                 }
             }
@@ -189,10 +189,13 @@ impl HdpState {
     /// ∝ `γ · ∏ p(x_table)`.
     ///
     /// The block's sufficient statistics are computed **once** and shared by
-    /// every candidate dish and by the base-measure term — each candidate
-    /// then costs a single rank-m-updated Cholesky
-    /// ([`osr_stats::DishBank::block_predictive_stats`]) instead of a
-    /// per-point posterior walk.
+    /// the rank-m detach/attach of the table and, for a table of two or more
+    /// members, by every candidate dish and the base-measure term — each
+    /// candidate then costs a single rank-m-updated Cholesky
+    /// ([`osr_stats::DishBank::block_predictive_stats`]). A one-member
+    /// table's block predictive *is* its point's Student-t predictive, so
+    /// that table is scored with one O(K·d²) one-vs-all pass and the point's
+    /// cached prior score instead of K + 1 O(d³) Choleskys.
     pub(crate) fn resample_table_dish<R: Rng + ?Sized>(
         &mut self,
         j: usize,
@@ -217,28 +220,24 @@ impl HdpState {
         }
         self.retire_if_empty(old_dish);
 
-        // Score every live dish plus a fresh one, off the same block stats.
-        sc.live_ids.clear();
-        sc.live_ids.extend(self.live_dishes().map(|(id, _)| id));
-        sc.lw.clear();
-        for idx in 0..sc.live_ids.len() {
-            let id = sc.live_ids[idx];
-            let Some(dish) = self.dishes[id].as_ref() else {
-                // live_dishes() just yielded this id; a None here means the
-                // menu mutated under us. Zero mass + poison, not a panic.
-                osr_stats::divergence::poison("resample_table_dish: retired id on the live menu");
-                sc.lw.push(f64::NEG_INFINITY);
-                continue;
-            };
-            let (slot, n_tables) = (dish.slot, dish.n_tables);
-            let lp = self.bank.block_predictive_stats(slot, &sc.stats);
-            sc.lw.push((n_tables as f64).ln() + lp);
-        }
-        sc.lw.push(self.gamma.ln() + self.bank.block_predictive_prior(&sc.stats));
+        // Score every live dish plus a fresh one.
+        let prior = if let [member] = members[..] {
+            self.score_menu(&group[member], &mut sc);
+            self.prior_scores[j][member]
+        } else {
+            sc.scores.clear();
+            for &slot in &self.menu.slots {
+                sc.scores.push(self.bank.block_predictive_stats(slot, &sc.stats));
+            }
+            self.bank.block_predictive_prior(&sc.stats)
+        };
+        self.menu_weights(&sc.scores, prior, &mut sc.ln_n, &mut sc.lw);
 
-        let choice = seat_choice(rng, &sc.lw, "dish reassignment");
-        let new_dish =
-            if choice < sc.live_ids.len() { sc.live_ids[choice] } else { self.new_dish() };
+        let choice = seat_choice(rng, &sc.lw, &mut sc.weights, "dish reassignment");
+        let new_dish = match self.menu.ids.get(choice) {
+            Some(&id) => id,
+            None => self.new_dish(),
+        };
         {
             let slot = self.dish(new_dish).slot;
             self.bank.attach_block(slot, &sc.stats, &block_refs);

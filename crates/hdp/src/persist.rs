@@ -19,7 +19,7 @@ use std::sync::Arc;
 use osr_stats::snapshot::{Dec, Enc, SnapResult, SnapshotError, SnapshotFile, SnapshotWriter};
 use osr_stats::{DishBank, NiwParams};
 
-use crate::state::{Dish, HdpConfig, HdpState, Table};
+use crate::state::{prior_scores, Dish, HdpConfig, HdpState, Menu, Table};
 
 /// Section id of the base-measure hyperparameters (NIW prior).
 pub const SEC_PARAMS: u32 = 1;
@@ -208,12 +208,18 @@ fn decode_seating(
         )));
     }
 
+    // Derived state is rebuilt, not persisted: the prior scores from the
+    // points, the live menu from the dish list.
+    let prior_scores = groups.iter().map(|g| prior_scores(&bank, g)).collect();
+    let menu = Menu::from_dishes(&dishes);
     let state = HdpState {
         params,
         groups,
         assignment,
         tables,
+        prior_scores,
         dishes,
+        menu,
         bank,
         gamma,
         alpha,

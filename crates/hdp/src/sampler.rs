@@ -12,8 +12,6 @@
 //! full sweeps over every group, and can checkpoint a converged arrangement
 //! into a [`PosteriorSnapshot`] for warm-start serving.
 
-use std::sync::Arc;
-
 use rand::Rng;
 
 use osr_stats::NiwParams;
@@ -71,25 +69,11 @@ impl Hdp {
         for (j, g) in groups.iter().enumerate() {
             validate_group(j, g, d)?;
         }
-        let assignment = groups.iter().map(|g| vec![usize::MAX; g.len()]).collect();
-        let n_groups = groups.len();
         // Initialize the concentrations at their prior means.
         let gamma = config.gamma_prior.0 / config.gamma_prior.1;
         let alpha = config.alpha_prior.0 / config.alpha_prior.1;
-        let bank = osr_stats::DishBank::new(&params);
         Ok(Self {
-            state: HdpState {
-                params,
-                groups: groups.into_iter().map(Arc::new).collect(),
-                assignment,
-                tables: vec![Vec::new(); n_groups],
-                dishes: Vec::new(),
-                bank,
-                gamma,
-                alpha,
-                seat_moves: 0,
-                scratch: Default::default(),
-            },
+            state: HdpState::new(params, groups, gamma, alpha),
             config,
             initialized: false,
             sweeps_done: 0,

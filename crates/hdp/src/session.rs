@@ -22,8 +22,6 @@
 //! * **Re-sampled per batch**: the batch group's tables, its items' dish
 //!   memberships, and any brand-new dishes the batch nucleates.
 
-use std::sync::Arc;
-
 use rand::Rng;
 
 use osr_stats::NiwParams;
@@ -210,9 +208,7 @@ impl PosteriorSnapshot {
         let batch_group = self.state.groups.len();
         validate_group(batch_group, &batch, self.state.params.dim())?;
         let mut state = self.state.clone();
-        state.assignment.push(vec![usize::MAX; batch.len()]);
-        state.tables.push(Vec::new());
-        state.groups.push(Arc::new(batch));
+        state.push_group(batch);
         Ok(BatchSession {
             state,
             config: self.config,
@@ -395,6 +391,7 @@ mod tests {
     use osr_linalg::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn niw(d: usize) -> NiwParams {
         NiwParams::new(vec![0.0; d], 1.0, d as f64 + 3.0, Matrix::identity(d)).unwrap()

@@ -87,27 +87,62 @@ pub(crate) struct Dish {
     pub n_tables: usize,
 }
 
+/// The live dishes in ascending id order, with the bank slot of each in a
+/// parallel list (the one-vs-all kernel's argument layout). Kept in step
+/// with [`HdpState::dishes`] by [`HdpState::new_dish`] and
+/// [`HdpState::retire_if_empty`], so a move reads the menu instead of
+/// scanning every dish id ever allocated.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Menu {
+    pub ids: Vec<DishId>,
+    pub slots: Vec<Slot>,
+}
+
+impl Menu {
+    /// The menu of a decoded or hand-built `dishes` list.
+    pub fn from_dishes(dishes: &[Option<Dish>]) -> Self {
+        let (ids, slots) = dishes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, d)| d.as_ref().map(|d| (id, d.slot)))
+            .unzip();
+        Self { ids, slots }
+    }
+}
+
+/// `ln n` for the counts `n_jt` and `m_·k` of the seating weights, read
+/// from a table grown on demand: each entry is the same `(n as f64).ln()`
+/// the weights would otherwise recompute, so lookups are bit-identical.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LnCounts(Vec<f64>);
+
+impl LnCounts {
+    pub fn get(&mut self, n: usize) -> f64 {
+        while self.0.len() <= n {
+            self.0.push((self.0.len() as f64).ln());
+        }
+        self.0[n]
+    }
+}
+
 /// Reusable buffers for the per-item / per-table seating moves, owned by
 /// the state so the hot loops of `engine.rs` allocate nothing per decision.
 /// Purely scratch: contents are meaningless between moves, and a cloned
 /// state (snapshot → session) merely inherits capacity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SeatScratch {
-    /// Live `(dish id, bank slot)` menu, rebuilt per move.
-    pub live: Vec<(DishId, Slot)>,
-    /// The slots of `live`, in the same order (the one-vs-all kernel's
-    /// argument layout).
-    pub slots: Vec<Slot>,
-    /// `d`-length solve buffer for the scoring kernels.
+    /// Solve lanes for the one-vs-all kernel, `d` per live dish.
     pub solve: Vec<f64>,
-    /// Per-dish predictive log-densities, parallel to `live`.
+    /// Per-dish predictive log-densities, parallel to the menu.
     pub scores: Vec<f64>,
     /// Menu-marginal log-weights (per dish, then the γ·prior tail).
     pub menu_lw: Vec<f64>,
     /// Candidate log-weights of the categorical seating draw.
     pub lw: Vec<f64>,
-    /// Live dish ids for the table-dish move.
-    pub live_ids: Vec<DishId>,
+    /// Normalized weights of the categorical draw.
+    pub weights: Vec<f64>,
+    /// `ln n` lookups for table and dish counts.
+    pub ln_n: LnCounts,
     /// Block sufficient statistics shared across Eq. 8 candidates.
     pub stats: BlockStats,
 }
@@ -126,9 +161,15 @@ pub(crate) struct HdpState {
     pub assignment: Vec<Vec<usize>>,
     /// Tables per restaurant.
     pub tables: Vec<Vec<Table>>,
+    /// Base-measure predictive `p(x_ji)` of every item, parallel to
+    /// `groups`: a pure function of the point and the prior, so it is
+    /// scored once when the group is added (and rebuilt, not persisted).
+    pub prior_scores: Vec<Arc<Vec<f64>>>,
     /// Global menu, keyed by stable [`DishId`]; `None` entries are retired
     /// dishes (ids are not reused).
     pub dishes: Vec<Option<Dish>>,
+    /// The live entries of `dishes` (see [`Menu`]).
+    pub menu: Menu,
     /// Struct-of-arrays bank of the live dishes' NIW posteriors with
     /// precomputed predictive constants — the vectorized scoring hot path.
     pub bank: DishBank,
@@ -146,6 +187,37 @@ pub(crate) struct HdpState {
 }
 
 impl HdpState {
+    /// A state with no dishes and every item of `groups` unseated.
+    pub fn new(params: NiwParams, groups: Vec<Vec<Vec<f64>>>, gamma: f64, alpha: f64) -> Self {
+        let bank = DishBank::new(&params);
+        let mut state = Self {
+            params,
+            groups: Vec::new(),
+            assignment: Vec::new(),
+            tables: Vec::new(),
+            prior_scores: Vec::new(),
+            dishes: Vec::new(),
+            menu: Menu::default(),
+            bank,
+            gamma,
+            alpha,
+            seat_moves: 0,
+            scratch: SeatScratch::default(),
+        };
+        for group in groups {
+            state.push_group(group);
+        }
+        state
+    }
+
+    /// Append `points` as a new, unseated group.
+    pub fn push_group(&mut self, points: Vec<Vec<f64>>) {
+        self.prior_scores.push(prior_scores(&self.bank, &points));
+        self.assignment.push(vec![usize::MAX; points.len()]);
+        self.tables.push(Vec::new());
+        self.groups.push(Arc::new(points));
+    }
+
     /// Total number of occupied tables across restaurants (`m_··`).
     pub fn total_tables(&self) -> usize {
         self.tables.iter().map(Vec::len).sum()
@@ -153,20 +225,23 @@ impl HdpState {
 
     /// Number of live dishes (`K`).
     pub fn n_dishes(&self) -> usize {
-        self.dishes.iter().filter(|d| d.is_some()).count()
+        self.menu.ids.len()
     }
 
-    /// Iterate over live `(DishId, &Dish)` pairs.
+    /// Iterate over live `(DishId, &Dish)` pairs in ascending id order.
     pub fn live_dishes(&self) -> impl Iterator<Item = (DishId, &Dish)> {
-        self.dishes.iter().enumerate().filter_map(|(id, d)| d.as_ref().map(|d| (id, d)))
+        self.menu.ids.iter().filter_map(|&id| self.dishes[id].as_ref().map(|d| (id, d)))
     }
 
     /// Allocate a new dish starting from the prior (its posterior occupies a
-    /// fresh or recycled bank slot).
+    /// fresh or recycled bank slot). Its id is the largest yet, so it joins
+    /// the end of the menu.
     pub fn new_dish(&mut self) -> DishId {
         let id = self.dishes.len();
         let slot = self.bank.alloc();
         self.dishes.push(Some(Dish { slot, n_tables: 0 }));
+        self.menu.ids.push(id);
+        self.menu.slots.push(slot);
         id
     }
 
@@ -198,6 +273,10 @@ impl HdpState {
         if let Some(slot) = empty_slot {
             self.bank.release(slot);
             self.dishes[id] = None;
+            if let Ok(pos) = self.menu.ids.binary_search(&id) {
+                self.menu.ids.remove(pos);
+                self.menu.slots.remove(pos);
+            }
         }
     }
 
@@ -309,12 +388,30 @@ impl HdpState {
                 assert_eq!(dish_tables[id], 0, "retired dish {id} still served");
             }
         }
+        let menu = Menu::from_dishes(&self.dishes);
+        assert!(
+            menu.ids == self.menu.ids && menu.slots == self.menu.slots,
+            "live menu disagrees with the dish list"
+        );
         assert_eq!(
             self.bank.n_live(),
             self.n_dishes(),
             "bank live-slot count disagrees with the menu"
         );
+        for (j, group) in self.groups.iter().enumerate() {
+            assert_eq!(
+                self.prior_scores[j].as_slice(),
+                prior_scores(&self.bank, group).as_slice(),
+                "group {j} prior scores are stale"
+            );
+        }
     }
+}
+
+/// Base-measure predictive of every point of `group`, in index order.
+pub(crate) fn prior_scores(bank: &DishBank, group: &[Vec<f64>]) -> Arc<Vec<f64>> {
+    let mut solve = vec![0.0; bank.dim()];
+    Arc::new(group.iter().map(|x| bank.score_prior(x, &mut solve)).collect())
 }
 
 /// Public read-only summary of one dish.
@@ -354,20 +451,7 @@ mod tests {
     }
 
     fn empty_state() -> HdpState {
-        let params = params();
-        let bank = DishBank::new(&params);
-        HdpState {
-            params,
-            groups: vec![Arc::new(vec![vec![0.0, 0.0], vec![1.0, 1.0]])],
-            assignment: vec![vec![usize::MAX, usize::MAX]],
-            tables: vec![vec![]],
-            dishes: vec![],
-            bank,
-            gamma: 1.0,
-            alpha: 1.0,
-            seat_moves: 0,
-            scratch: SeatScratch::default(),
-        }
+        HdpState::new(params(), vec![vec![vec![0.0, 0.0], vec![1.0, 1.0]]], 1.0, 1.0)
     }
 
     #[test]

@@ -116,21 +116,28 @@ pub fn categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
 /// Panics when all entries are `-inf` (no valid outcome) or the slice is
 /// empty.
 pub fn categorical_log<R: Rng + ?Sized>(rng: &mut R, log_weights: &[f64]) -> usize {
-    try_categorical_log(rng, log_weights)
+    try_categorical_log(rng, log_weights, &mut Vec::new())
         .expect("categorical_log: no finite log-weights (log normalizer not finite)")
 }
 
 /// Fallible variant of [`categorical_log`]: returns `None` instead of
 /// panicking when the log normalizer is not finite (all entries `-inf`, or
 /// any `NaN`/`+inf`), so samplers facing hostile inputs can substitute a
-/// deterministic fallback and flag the sweep as diverged.
-pub fn try_categorical_log<R: Rng + ?Sized>(rng: &mut R, log_weights: &[f64]) -> Option<usize> {
+/// deterministic fallback and flag the sweep as diverged. The normalized
+/// weights are written into the caller's `weights` buffer, so a sampler
+/// drawing once per move allocates nothing per draw.
+pub fn try_categorical_log<R: Rng + ?Sized>(
+    rng: &mut R,
+    log_weights: &[f64],
+    weights: &mut Vec<f64>,
+) -> Option<usize> {
     let z = log_sum_exp(log_weights);
     if !z.is_finite() {
         return None;
     }
-    let weights: Vec<f64> = log_weights.iter().map(|w| (w - z).exp()).collect();
-    Some(categorical(rng, &weights))
+    weights.clear();
+    weights.extend(log_weights.iter().map(|w| (w - z).exp()));
+    Some(categorical(rng, weights))
 }
 
 /// Fisher–Yates shuffle of a slice of indices (thin wrapper so callers don't

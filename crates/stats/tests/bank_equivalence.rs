@@ -201,6 +201,62 @@ proptest! {
         );
     }
 
+    /// A one-point block's joint predictive *is* that point's Student-t
+    /// predictive, so the ratio kernel and the one-vs-all kernel agree to
+    /// rounding — on a fresh slot, a heavily updated one, and one repaired by
+    /// the downdate rescue — and so do the two base-measure kernels. This is
+    /// the identity that lets Eq. 8 score a one-member table with the point
+    /// kernel.
+    #[test]
+    fn one_point_block_matches_the_point_predictive(
+        (params, points, _) in scripted_setup(),
+        magnitude in 20.0..60.0f64,
+    ) {
+        let mut bank = DishBank::new(&params);
+        let fresh = bank.alloc();
+        // Many add/remove cycles: the factor has taken hundreds of Givens
+        // updates and downdates.
+        let heavy = bank.alloc();
+        for _ in 0..20 {
+            for p in &points {
+                bank.add_obs(heavy, p);
+            }
+        }
+        for _ in 0..10 {
+            for p in points.iter().rev() {
+                bank.remove_obs(heavy, p);
+            }
+        }
+        // Removing a never-added far-away point forces the rescue path.
+        let rescued = bank.alloc();
+        for p in &points {
+            bank.add_obs(rescued, p);
+        }
+        let foreign: Vec<f64> = (0..params.dim())
+            .map(|i| if i % 2 == 0 { magnitude } else { -magnitude })
+            .collect();
+        bank.remove_obs(rescued, &foreign);
+        let _ = osr_stats::divergence::take();
+
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs().max(1.0);
+        let mut stats = BlockStats::new(params.dim());
+        let mut solve = vec![0.0; params.dim()];
+        for x in &points {
+            for (name, slot) in [("fresh", fresh), ("heavy", heavy), ("rescued", rescued)] {
+                let block = bank.block_predictive(slot, &[x.as_slice()]);
+                let point = bank.predictive_one(slot, x);
+                prop_assert!(
+                    close(block, point),
+                    "{} slot: one-point block {} vs point predictive {}", name, block, point
+                );
+            }
+            bank.compute_block_stats(&[x.as_slice()], &mut stats);
+            let block = bank.block_predictive_prior(&stats);
+            let point = bank.score_prior(x, &mut solve);
+            prop_assert!(close(block, point), "prior: one-point block {} vs point {}", block, point);
+        }
+    }
+
     /// Forcing the downdate past SPD (removing a never-added far-away point)
     /// drives both representations through the dense rescue — and, when the
     /// refactorization also fails, the divergence-poison identity fallback.

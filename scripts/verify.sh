@@ -45,6 +45,10 @@ cargo test -q -p osr-stats --features fault-inject --test observability
 cargo test -q -p osr-stats --test bank_equivalence
 cargo test -q -p osr-stats --features fault-inject --test bank_equivalence
 
+# Serving benchmark package (its own workspace, not covered by the suites
+# above): the unit tests of its percentile, window and report helpers.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 # Method-agnostic serving: CD-OSR through `&dyn CollectiveModel` must be
 # bit-identical to the direct path, and every baseline must serve through
 # the production BatchServer — under both feature sets, since the fault
@@ -129,6 +133,9 @@ if ! diff -q tests/goldens/frontend_stream.jsonl results/frontend_stream_committ
 fi
 
 # Two identical seeded serving runs must write byte-identical trace streams.
+# (The root `cargo build` above builds only the facade package; the trace and
+# fleet binaries live in osr-bench.)
+cargo build --release -q -p osr-bench --bin trace_dump --bin replica_fleet
 ./target/release/trace_dump --seed 2026 --out results/trace_verify_a.jsonl
 ./target/release/trace_dump --seed 2026 --out results/trace_verify_b.jsonl
 if ! diff -q results/trace_verify_a.jsonl results/trace_verify_b.jsonl; then

@@ -75,8 +75,11 @@ fn model_and_batches() -> (HdpOsr, Vec<Vec<Vec<f64>>>) {
     (model, batches)
 }
 
+/// A store in a directory of its own: tests run concurrently, and the
+/// residue check below must not see another test's save in flight.
 fn temp_store(name: &str) -> SnapshotStore {
-    let dir = std::env::temp_dir().join(format!("osr_snap_persist_{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("osr_snap_persist_{}_{name}", std::process::id()));
     SnapshotStore::new(dir.join(format!("{name}.bin")))
 }
 
